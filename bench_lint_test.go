@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -21,15 +22,24 @@ type lintBenchStage struct {
 }
 
 // copyModule copies the module's go.mod and .go files into dst so the
-// cache stages can edit sources without touching the live tree.
-func copyModule(b *testing.B, dst string) {
-	b.Helper()
+// cache stages can edit sources without touching the live tree. It
+// skips what `go list ./...` skips: dot-directories (.git, build
+// caches) and nested modules, whose .go files would otherwise fold
+// into the root module in the copy. bin holds build outputs only.
+func copyModule(tb testing.TB, dst string) {
+	tb.Helper()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if d.Name() == ".git" || d.Name() == "bin" {
+			if path == "." {
+				return nil
+			}
+			if strings.HasPrefix(d.Name(), ".") || d.Name() == "bin" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil
@@ -48,7 +58,30 @@ func copyModule(b *testing.B, dst string) {
 		return os.WriteFile(full, data, 0o644)
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
+	}
+}
+
+// goListPackages returns the import paths `go list ./...` reports in dir.
+func goListPackages(tb testing.TB, dir string) string {
+	tb.Helper()
+	cmd := exec.Command("go", "list", "./...")
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		tb.Fatalf("go list in %s: %v", dir, err)
+	}
+	return string(out)
+}
+
+// TestCopyModuleListsLivePackages checks that the copy BenchmarkLint
+// lints is the module itself: the same packages as the live ./...,
+// with no nested module folded in.
+func TestCopyModuleListsLivePackages(t *testing.T) {
+	dst := t.TempDir()
+	copyModule(t, dst)
+	if got, want := goListPackages(t, dst), goListPackages(t, "."); got != want {
+		t.Fatalf("copied tree lists\n%s\nlive tree lists\n%s", got, want)
 	}
 }
 

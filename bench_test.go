@@ -143,32 +143,6 @@ func BenchmarkClosedFormLinear(b *testing.B) {
 	}
 }
 
-// BenchmarkAlg2Ablation isolates the two optimizations that turn
-// Algorithm 1 into Algorithm 2: the binary-searched crossover and the
-// early break (DESIGN.md ablation A1).
-func BenchmarkAlg2Ablation(b *testing.B) {
-	procs := table1Procs(b)
-	const n = 10000
-	variants := []struct {
-		name string
-		opts core.Algorithm2Options
-	}{
-		{"full", core.Algorithm2Options{}},
-		{"noBinarySearch", core.Algorithm2Options{DisableBinarySearch: true}},
-		{"noEarlyBreak", core.Algorithm2Options{DisableEarlyBreak: true}},
-		{"neither", core.Algorithm2Options{DisableBinarySearch: true, DisableEarlyBreak: true}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Algorithm2Opt(procs, n, v.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkOrderingPolicies measures the balanced makespan under the
 // three orderings (Theorem 3 validation, Figures 3 vs 4).
 func BenchmarkOrderingPolicies(b *testing.B) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/cost"
 )
@@ -25,12 +26,9 @@ func Algorithm1(procs []Processor, n int) (Result, error) {
 	}
 	p := len(procs)
 
-	// choice[i][d] is the share given to processor i when d items
+	// choice[i*(n+1)+d] is the share given to processor i when d items
 	// remain for processors i..p-1.
-	choice := make([][]int32, p)
-	for i := range choice {
-		choice[i] = make([]int32, n+1)
-	}
+	choice := make([]int32, p*(n+1))
 
 	// costNext holds cost[., i+1]; costCur is being filled for i.
 	costNext := make([]float64, n+1)
@@ -45,13 +43,14 @@ func Algorithm1(procs []Processor, n int) (Result, error) {
 	tabulate(procs[p-1], n, comm, comp)
 	for d := 0; d <= n; d++ {
 		costNext[d] = comm[d] + comp[d]
-		choice[p-1][d] = int32(d)
+		choice[(p-1)*(n+1)+d] = int32(d)
 	}
 
 	for i := p - 2; i >= 0; i-- {
 		tabulate(procs[i], n, comm, comp)
+		row := choice[i*(n+1) : (i+1)*(n+1)]
 		costCur[0] = comm[0] + maxf(comp[0], costNext[0])
-		choice[i][0] = 0
+		row[0] = 0
 		for d := 1; d <= n; d++ {
 			// e = 0 initializer (the paper's line 11).
 			sol := 0
@@ -62,13 +61,13 @@ func Algorithm1(procs []Processor, n int) (Result, error) {
 					sol, min = e, m
 				}
 			}
-			choice[i][d] = int32(sol)
+			row[d] = int32(sol)
 			costCur[d] = min
 		}
 		costCur, costNext = costNext, costCur
 	}
 
-	return reconstruct(procs, n, costNext[n], choice), nil
+	return reconstruct(procs, n, choice), nil
 }
 
 // tabulate fills comm[e] = Tcomm(i,e) and comp[e] = Tcomp(i,e) for
@@ -98,102 +97,100 @@ func fillCosts(f cost.Function, n int, out []float64) {
 	}
 }
 
-// Algorithm2Options selects the individual optimizations of Algorithm 2
-// so their effect can be measured (ablation benchmarks). The zero value
-// enables everything, i.e. the full Algorithm 2.
-type Algorithm2Options struct {
-	// DisableBinarySearch replaces the binary search for the
-	// communication/computation crossover (the paper's lines 16-26)
-	// with a scan starting at e = d.
-	DisableBinarySearch bool
-	// DisableEarlyBreak removes the monotonicity cutoff (the paper's
-	// lines 32-34) from the descending scan.
-	DisableEarlyBreak bool
-}
-
 // Algorithm2 computes an optimal distribution with the paper's
 // optimized dynamic program (Algorithm 2). It requires the cost
 // functions to be increasing; same worst-case complexity as Algorithm
 // 1 (O(p·n²)) but O(p·n) in the best case and far faster in practice.
+//
+// Tie-break rule: each cell keeps the largest minimizing share e that
+// does not exceed the crossover emax, the smallest e with
+// Tcomp(i,e) >= cost[d-e, i+1]. Algorithm1 keeps the smallest
+// minimizing e instead, so on ties the two agree on the makespan but
+// not always on the distribution: two processors with Comp =
+// Linear{1} and no communication cost give Algorithm1 [0 1] and
+// Algorithm2 [1 0] at n = 1. Algorithm2Parallel, SolvePlan,
+// Plan.Lookup and Plan.Resolve follow the same rule bit for bit, since
+// they all fill their rows through fillRows.
 func Algorithm2(procs []Processor, n int) (Result, error) {
-	return Algorithm2Opt(procs, n, Algorithm2Options{})
+	return Algorithm2Parallel(procs, n, 1)
 }
 
-// Algorithm2Opt is Algorithm2 with explicit optimization switches.
-func Algorithm2Opt(procs []Processor, n int, opts Algorithm2Options) (Result, error) {
+// Algorithm2Parallel is Algorithm2 with each large DP row spread over
+// a pool of workers (workers <= 0 selects GOMAXPROCS). Within one row
+// the entries cost[d, i] for different d only read the previous row,
+// so the result is bit-identical to Algorithm2; the row-to-row
+// dependency stays sequential.
+func Algorithm2Parallel(procs []Processor, n, workers int) (Result, error) {
 	if err := validateDPInput(procs, n); err != nil {
 		return Result{}, err
 	}
 	p := len(procs)
-
-	choice := make([][]int32, p)
-	for i := range choice {
-		choice[i] = make([]int32, n+1)
+	// Two rolling cost rows and one contiguous choice table: rows are
+	// touched in strict sequence, so blocking them together keeps the
+	// allocator from scattering p large slices across the heap.
+	costs := [2][]float64{make([]float64, n+1), make([]float64, n+1)}
+	choice := make([]int32, p*(n+1))
+	rows := make([]planRow, p)
+	for i := range rows {
+		rows[i] = planRow{cost: costs[i&1], choice: choice[i*(n+1) : (i+1)*(n+1)]}
 	}
-	costNext := make([]float64, n+1)
-	costCur := make([]float64, n+1)
-	comm := make([]float64, n+1)
-	comp := make([]float64, n+1)
+	// No fingerprints: the cost tables go to pooled scratch, reused
+	// from row to row.
+	fillRows(nil, procs, make([]string, p), n, workers, rows, p-1)
+	return reconstruct(procs, n, choice), nil
+}
 
-	tabulate(procs[p-1], n, comm, comp)
-	for d := 0; d <= n; d++ {
-		costNext[d] = comm[d] + comp[d]
-		choice[p-1][d] = int32(d)
-	}
+// rowParallelThreshold is the item count from which fillRows spreads
+// rows over a worker pool; below it the fan-out costs more than the
+// row computation.
+const rowParallelThreshold = 1 << 15
 
-	for i := p - 2; i >= 0; i-- {
-		tabulate(procs[i], n, comm, comp)
-		costCur[0] = comm[0] + maxf(comp[0], costNext[0])
-		choice[i][0] = 0
-		for d := 1; d <= n; d++ {
-			var sol int
-			var min float64
-			if opts.DisableBinarySearch {
-				// Start the descending scan from e = d.
-				sol = d
-				min = comm[d] + maxf(comp[d], costNext[0])
-			} else {
-				// Binary search for emax, the smallest e with
-				// Tcomp(i,e) >= cost[d-e, i+1]. The predicate is
-				// monotone because Tcomp increases with e while
-				// cost[d-e, i+1] decreases. emax always exists in
-				// [0, d]: at e = d the right side is cost[0, i+1],
-				// which is 0 for null-at-zero cost functions.
-				lo, hi := 0, d // invariant: predicate false at lo-1 ... search space [lo, hi]
-				for lo < hi {
-					mid := (lo + hi) / 2
-					if comp[mid] >= costNext[d-mid] {
-						hi = mid
-					} else {
-						lo = mid + 1
-					}
-				}
-				emax := lo
-				// For e >= emax the objective is Tcomm+Tcomp, both
-				// increasing, so emax is the best candidate there.
-				sol = emax
-				min = comm[emax] + maxf(comp[emax], costNext[d-emax])
-			}
-			// Descending scan over e < sol, where the max is realized
-			// by cost[d-e, i+1].
-			for e := sol - 1; e >= 0; e-- {
-				rest := costNext[d-e]
-				m := comm[e] + maxf(comp[e], rest)
-				if m < min {
-					sol, min = e, m
-				} else if !opts.DisableEarlyBreak && rest >= min {
-					// cost[d-e, i+1] only grows as e decreases and
-					// Tcomm is non-negative, so no smaller e can win.
-					break
-				}
-			}
-			choice[i][d] = int32(sol)
-			costCur[d] = min
+// fillRows is the one Algorithm 2 row loop. It fills rows[from] down
+// to rows[0] over d in [0, n], taking pooled buffers for any row that
+// has none. When from is the last processor its row is the base row:
+// the last processor takes whatever remains. Otherwise rows after from
+// are already valid (a Plan's partial reuse) and row from+1 seeds the
+// recurrence. Each row's interior runs through rowRange, on a worker
+// pool when n reaches rowParallelThreshold and more than one worker is
+// allowed (workers <= 0 selects GOMAXPROCS). tc memoizes cost tables
+// by fingerprint; a nil tc tabulates into pooled scratch.
+func fillRows(tc *tabCache, procs []Processor, fps []string, n, workers int, rows []planRow, from int) {
+	for i := 0; i <= from; i++ {
+		if rows[i].cost == nil {
+			rows[i] = newPlanRow(n)
 		}
-		costCur, costNext = costNext, costCur
 	}
-
-	return reconstruct(procs, n, costNext[n], choice), nil
+	i := from
+	if i == len(procs)-1 {
+		comm, comp, done := tc.tables(procs[i], fps[i], n)
+		cost, choice := rows[i].cost, rows[i].choice
+		for d := 0; d <= n; d++ {
+			cost[d] = comm[d] + comp[d]
+			choice[d] = int32(d)
+		}
+		done()
+		i--
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var rp *rowPool
+	if i >= 0 && workers > 1 && n >= rowParallelThreshold {
+		rp = newRowPool(workers)
+		defer rp.close()
+	}
+	for ; i >= 0; i-- {
+		comm, comp, done := tc.tables(procs[i], fps[i], n)
+		next, cost, choice := rows[i+1].cost, rows[i].cost, rows[i].choice
+		cost[0] = comm[0] + maxf(comp[0], next[0])
+		choice[0] = 0
+		if rp != nil {
+			rp.row(comm, comp, next, cost, choice, n)
+		} else {
+			rowRange(comm, comp, next, cost, choice, 1, n)
+		}
+		done()
+	}
 }
 
 func validateDPInput(procs []Processor, n int) error {
@@ -213,17 +210,16 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
-// reconstruct walks the choice table from the full problem down to the
-// last processor and evaluates the achieved makespan with Eq. (2). The
-// evaluated makespan equals the DP cost for consistent cost functions;
-// Result reports the evaluated value so that all solvers are compared
-// on the same footing.
-func reconstruct(procs []Processor, n int, dpCost float64, choice [][]int32) Result {
-	p := len(procs)
-	dist := make(Distribution, p)
+// reconstruct walks the flat choice table (row i at [i*(n+1),
+// (i+1)*(n+1))) from the full problem down to the last processor and
+// evaluates the achieved makespan with Eq. (2). The evaluated makespan
+// equals the DP cost for consistent cost functions; Result reports the
+// evaluated value so that all solvers are compared on the same footing.
+func reconstruct(procs []Processor, n int, choice []int32) Result {
+	dist := make(Distribution, len(procs))
 	d := n
-	for i := 0; i < p; i++ {
-		e := int(choice[i][d])
+	for i := range dist {
+		e := int(choice[i*(n+1)+d])
 		dist[i] = e
 		d -= e
 	}

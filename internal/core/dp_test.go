@@ -181,31 +181,82 @@ func TestAlgorithm2MatchesAlgorithm1(t *testing.T) {
 	}
 }
 
+// dyadicProcs builds processors whose cost tables come from
+// dyadicTable with flat stretches, so many shares tie on cost.
+func dyadicProcs(rng *rand.Rand, p, n int) []Processor {
+	procs := make([]Processor, p)
+	for i := range procs {
+		procs[i] = Processor{
+			Name: "D" + string(rune('1'+i)),
+			Comm: cost.Table{Values: dyadicTable(rng, n, true), Increasing: true},
+			Comp: cost.Table{Values: dyadicTable(rng, n, true), Increasing: true},
+		}
+	}
+	procs[p-1].Comm = cost.Zero
+	return procs
+}
+
+// TestAlgorithm2AblationsAgree pins production Algorithm2, distribution
+// and makespan, to all four variants of the independent reference
+// solver: switching off the binary search or the early break must not
+// move a single share, on random affine platforms and on tie-heavy
+// dyadic ones alike.
 func TestAlgorithm2AblationsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	variants := []Algorithm2Options{
-		{},
-		{DisableBinarySearch: true},
-		{DisableEarlyBreak: true},
-		{DisableBinarySearch: true, DisableEarlyBreak: true},
-	}
-	for trial := 0; trial < 25; trial++ {
+	for trial := 0; trial < 60; trial++ {
 		p := 1 + rng.Intn(5)
-		n := rng.Intn(30)
+		n := rng.Intn(60)
 		procs := randomAffineProcs(rng, p)
-		ref, err := Algorithm2Opt(procs, n, variants[0])
+		if trial%2 == 1 {
+			procs = dyadicProcs(rng, p, n)
+		}
+		got, err := Algorithm2(procs, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for vi, v := range variants[1:] {
-			got, err := Algorithm2Opt(procs, n, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Makespan != ref.Makespan {
-				t.Errorf("trial %d variant %d: makespan %g != %g", trial, vi+1, got.Makespan, ref.Makespan)
+		for _, v := range ablations {
+			want := referenceAlgorithm2(procs, n, v.ab)
+			if !sameDist(got.Distribution, want.Distribution) || got.Makespan != want.Makespan {
+				t.Fatalf("trial %d (p=%d n=%d) %s: Algorithm2 %v (%g) != reference %v (%g)",
+					trial, p, n, v.name, got.Distribution, got.Makespan, want.Distribution, want.Makespan)
 			}
 		}
+	}
+}
+
+// TestAlgorithm2TieBreak pins the tie-break rule documented on
+// Algorithm2: on a tie Algorithm1 keeps the smallest share and
+// Algorithm2, and every plan lookup with it, the largest share up to
+// the crossover.
+func TestAlgorithm2TieBreak(t *testing.T) {
+	procs := []Processor{
+		{Name: "a", Comm: cost.Zero, Comp: cost.Linear{PerItem: 1}},
+		{Name: "b", Comm: cost.Zero, Comp: cost.Linear{PerItem: 1}},
+	}
+	a1, err := Algorithm1(procs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2, err := Algorithm2(procs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := SolvePlan(procs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lk, err := pl.Lookup(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameDist(a1.Distribution, Distribution{0, 1}) {
+		t.Errorf("Algorithm1 = %v, want [0 1]", a1.Distribution)
+	}
+	if !sameDist(a2.Distribution, Distribution{1, 0}) || !sameDist(lk.Distribution, a2.Distribution) {
+		t.Errorf("Algorithm2 = %v, Plan.Lookup = %v, want [1 0] for both", a2.Distribution, lk.Distribution)
+	}
+	if a1.Makespan != a2.Makespan {
+		t.Errorf("makespans differ: Algorithm1 %g, Algorithm2 %g", a1.Makespan, a2.Makespan)
 	}
 }
 

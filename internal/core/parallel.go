@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -30,12 +29,9 @@ type rowPool struct {
 	workers int
 }
 
-// newRowPool starts workers goroutines (GOMAXPROCS when workers <= 0)
-// that wait for rows. Callers must close() the pool when done.
+// newRowPool starts workers goroutines that wait for rows. Callers
+// must close() the pool when done.
 func newRowPool(workers int) *rowPool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	rp := &rowPool{work: make(chan *rowWork, workers), workers: workers}
 	for k := 0; k < workers; k++ {
 		go func() {
@@ -70,21 +66,13 @@ const (
 
 // row fills costCur[1..n] and choice[1..n] from costNext across the
 // pool and returns once the whole row is done (the caller fills the
-// d = 0 entry). The chunk size adapts to n and the worker count
-// instead of a fixed floor, so small rows stay on one worker and large
-// rows split finely enough to balance.
+// d = 0 entry). The chunk size adapts to n and the worker count, so
+// large rows split finely enough to balance; fillRows keeps rows too
+// small to repay the fan-out off the pool.
 func (rp *rowPool) row(comm, comp, costNext, costCur []float64, choice []int32, n int) {
-	if n < 1 {
-		return
-	}
 	chunk := (n + rp.workers*rowChunksPerWorker - 1) / (rp.workers * rowChunksPerWorker)
 	if chunk < minRowChunk {
 		chunk = minRowChunk
-	}
-	if rp.workers == 1 || n <= chunk {
-		// The fan-out would cost more than the row: run it inline.
-		rowRange(comm, comp, costNext, costCur, choice, 1, n)
-		return
 	}
 	w := &rowWork{comm: comm, comp: comp, costNext: costNext, costCur: costCur, choice: choice, n: n, chunk: chunk}
 	rp.wg.Add(rp.workers)
@@ -97,70 +85,12 @@ func (rp *rowPool) row(comm, comp, costNext, costCur []float64, choice []int32, 
 // close shuts the workers down once all submitted rows have completed.
 func (rp *rowPool) close() { close(rp.work) }
 
-// Algorithm2Parallel is Algorithm 2 with the inner loop parallelized:
-// within one DP row i, the entries cost[d, i] for different d are
-// independent (they only read the previous row), so they are computed
-// by a persistent pool of workers over chunks of the d range. The
-// row-to-row dependency remains sequential. Results are bit-identical
-// to Algorithm2.
-//
-// Parallelism pays off when n is large (the paper's 817,101-item runs
-// take tens of seconds single-threaded); for small n the pool costs
-// more than it saves, so callers with tiny inputs should prefer
-// Algorithm2. Workers <= 0 selects GOMAXPROCS.
-func Algorithm2Parallel(procs []Processor, n, workers int) (Result, error) {
-	if err := validateDPInput(procs, n); err != nil {
-		return Result{}, err
-	}
-	p := len(procs)
-
-	// One contiguous backing array for every choice row: rows are
-	// touched in strict sequence, so blocking them together keeps the
-	// allocator from scattering p large slices across the heap.
-	backing := make([]int32, p*(n+1))
-	choice := make([][]int32, p)
-	for i := range choice {
-		choice[i] = backing[i*(n+1) : (i+1)*(n+1) : (i+1)*(n+1)]
-	}
-	costNext := make([]float64, n+1)
-	costCur := make([]float64, n+1)
-
-	// Duplicate processors (identical cluster nodes are the norm on
-	// real grids) share one tabulated comm/comp table through the same
-	// per-fingerprint memoization the Engine uses, instead of
-	// re-tabulating O(n) entries for every row.
-	tc := newTabCache()
-	fps := fingerprints(procs)
-
-	comm, comp, done := tc.tables(procs[p-1], fps[p-1], n)
-	for d := 0; d <= n; d++ {
-		costNext[d] = comm[d] + comp[d]
-		choice[p-1][d] = int32(d)
-	}
-	done()
-
-	rp := newRowPool(workers)
-	defer rp.close()
-
-	for i := p - 2; i >= 0; i-- {
-		comm, comp, done := tc.tables(procs[i], fps[i], n)
-		costCur[0] = comm[0] + maxf(comp[0], costNext[0])
-		choice[i][0] = 0
-		rp.row(comm, comp, costNext, costCur, choice[i], n)
-		done()
-		costCur, costNext = costNext, costCur
-	}
-
-	return reconstruct(procs, n, costNext[n], choice), nil
-}
-
 // rowRange fills cost[d] and choice[d] for d in [lo, hi] using the
 // Algorithm 2 recurrence (binary-searched crossover + early break).
 // It only reads comm, comp and costNext, so disjoint ranges may run
-// concurrently. This is the single row kernel shared by
-// Algorithm2Parallel, the incremental Plan solver, and the coarse
-// refinement pass, which is what keeps their results bit-identical to
-// Algorithm2.
+// concurrently. This is the single row kernel behind fillRows, and so
+// behind Algorithm2, Algorithm2Parallel and the incremental Plan
+// solver, which is what keeps their results bit-identical.
 //
 // The crossover emax(d) — the smallest e with comp[e] >= costNext[d-e]
 // (or d when no such e exists) — is monotone in d, and moreover
@@ -170,7 +100,8 @@ func Algorithm2Parallel(procs []Processor, n, workers int) (Result, error) {
 // left neighbor with a single comparison, replacing O(log n) scattered
 // probes per cell with an amortized O(1) sequential access. The seeded
 // value is the same lower bound the binary search would return, so the
-// kernel stays bit-identical to Algorithm2Opt's per-cell search.
+// kernel stays bit-identical to a per-cell search (the reference in
+// rowrange_test.go).
 func rowRange(comm, comp, costNext, costCur []float64, choiceRow []int32, lo, hi int) {
 	if lo > hi {
 		return

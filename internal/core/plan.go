@@ -75,16 +75,11 @@ func (pl *Plan) Size() int { return len(pl.procs) }
 
 // SolvePlan runs the Algorithm 2 dynamic program over increasing cost
 // functions and retains every DP row. The distribution reachable via
-// Lookup(n, 0) is bit-identical to Algorithm2's: both fill rows with
-// the same binary-searched crossover and early-break recurrence.
+// Lookup(n, 0) is bit-identical to Algorithm2's: both fill their rows
+// through fillRows.
 func SolvePlan(procs []Processor, n int) (*Plan, error) {
 	return solvePlan(nil, procs, n, 0)
 }
-
-// planParallelThreshold is the item count above which solvePlan fills
-// rows with a worker pool; below it the fan-out costs more than the
-// row computation.
-const planParallelThreshold = 1 << 15
 
 // workers bounds the row pool for large solves; <= 0 selects
 // GOMAXPROCS.
@@ -92,54 +87,14 @@ func solvePlan(tc *tabCache, procs []Processor, n, workers int) (*Plan, error) {
 	if err := validateDPInput(procs, n); err != nil {
 		return nil, err
 	}
-	p := len(procs)
 	pl := &Plan{
 		procs: append([]Processor(nil), procs...),
 		fps:   fingerprints(procs),
 		n:     n,
-		rows:  make([]planRow, p),
+		rows:  make([]planRow, len(procs)),
 	}
-
-	var rp *rowPool
-	if n >= planParallelThreshold && p > 1 {
-		rp = newRowPool(workers)
-		defer rp.close()
-	}
-
-	// Base row: the last processor takes everything that remains.
-	comm, comp, done := tc.tables(procs[p-1], pl.fps[p-1], n)
-	base := newPlanRow(n)
-	for d := 0; d <= n; d++ {
-		base.cost[d] = comm[d] + comp[d]
-		base.choice[d] = int32(d)
-	}
-	pl.rows[p-1] = base
-	done()
-
-	for i := p - 2; i >= 0; i-- {
-		comm, comp, done := tc.tables(procs[i], pl.fps[i], n)
-		fillPlanRow(rp, comm, comp, pl.rows[i+1].cost, &pl.rows[i], n)
-		done()
-	}
+	fillRows(tc, pl.procs, pl.fps, n, workers, pl.rows, len(procs)-1)
 	return pl, nil
-}
-
-// fillPlanRow allocates row *out and fills it from the next row's costs
-// using the exact Algorithm 2 recurrence (rowRange), optionally spread
-// over a worker pool. Chunks are disjoint, so the result is
-// bit-identical either way.
-func fillPlanRow(rp *rowPool, comm, comp, next []float64, out *planRow, n int) {
-	row := newPlanRow(n)
-	row.cost[0] = comm[0] + maxf(comp[0], next[0])
-	row.choice[0] = 0
-	if n >= 1 {
-		if rp != nil {
-			rp.row(comm, comp, next, row.cost, row.choice, n)
-		} else {
-			rowRange(comm, comp, next, row.cost, row.choice, 1, n)
-		}
-	}
-	*out = row
 }
 
 // Lookup answers the suffix subproblem "distribute d items over
@@ -235,16 +190,7 @@ func (pl *Plan) resolve(tc *tabCache, remaining int, survivors []Processor, work
 	// Partial reuse: recompute the invalidated prefix rows, at the
 	// width actually needed now.
 	d.n = remaining
-	var rp *rowPool
-	if remaining >= planParallelThreshold {
-		rp = newRowPool(workers)
-		defer rp.close()
-	}
-	for i := m - t - 1; i >= 0; i-- {
-		comm, comp, done := tc.tables(survivors[i], sfps[i], remaining)
-		fillPlanRow(rp, comm, comp, d.rows[i+1].cost, &d.rows[i], remaining)
-		done()
-	}
+	fillRows(tc, survivors, sfps, remaining, workers, d.rows, m-t-1)
 	return d, nil
 }
 

@@ -328,15 +328,16 @@ func TestPlanCacheLRU(t *testing.T) {
 	}
 }
 
-// TestPlanSolveParallelIdentical forces the pooled row fill past the
-// parallel threshold and checks bit-identity with the sequential path.
+// TestPlanSolveParallelIdentical forces the pooled row fill (two
+// workers, past the parallel threshold) and checks bit-identity with
+// the inline path of Algorithm2.
 func TestPlanSolveParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large n")
 	}
 	procs := planTestProcs()
-	n := planParallelThreshold + 123
-	pl, err := SolvePlan(procs, n)
+	n := rowParallelThreshold + 123
+	pl, err := solvePlan(nil, procs, n, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

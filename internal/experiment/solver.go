@@ -201,6 +201,9 @@ func runSolver(opts SolverOptions) (solverDoc, error) {
 			return doc, err
 		}
 		note := "persistent worker pool over row chunks; bit-identical by construction"
+		if w == 1 {
+			note = "one worker: rows run inline, the same row loop as algorithm2_cold"
+		}
 		if w > maxprocs {
 			note += fmt.Sprintf(" (workers exceed GOMAXPROCS=%d: no speedup is physically possible on this host)", maxprocs)
 		}
