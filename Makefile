@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-fault bench-recovery bench-solver bench-solver-smoke bench-degraded bench-lint bench-serve figures fmt lint lint-vet ci-lint check ci
+.PHONY: all build vet test race bench bench-fault bench-recovery bench-solver bench-solver-check bench-degraded bench-lint bench-serve figures fmt lint lint-vet ci-lint check ci
 
 all: build
 
@@ -32,17 +32,17 @@ bench-recovery:
 # Regenerate BENCH_solver.json (incremental solver engine vs the
 # from-scratch DP at the paper's full 817,101-item scale: cold solves,
 # the worker-pool scaling curve, coarsen-then-refine with its error
-# band, warm crash re-solves, plan-cache hits). Takes a few minutes.
+# band, warm crash re-solves, plan-cache hits). Takes a few seconds.
 bench-solver:
 	$(GO) run ./cmd/scatterbench -solver BENCH_solver.json
 
-# Smoke variant for CI: the same measurement matrix (scaling curve,
-# coarse band checks, bit-identity checks) at a reduced item count, so
-# a regression in any verified invariant — not the wall-clock numbers —
-# fails fast on shared runners. Output is discarded on purpose: only
-# the committed BENCH_solver.json carries published numbers.
-bench-solver-smoke:
-	$(GO) run ./cmd/scatterbench -solver /tmp/BENCH_solver_smoke.json -items 120000
+# CI gate: the same measurement matrix (scaling curve, coarse band
+# checks against the exact optimum, bit-identity checks, engine stats)
+# at the paper's full 817,101 items. It fails on a lost invariant,
+# never on wall clock, and writes to /tmp: only the committed
+# BENCH_solver.json carries published numbers.
+bench-solver-check:
+	$(GO) run ./cmd/scatterbench -solver /tmp/BENCH_solver_check.json
 
 # Regenerate BENCH_degraded.json (degraded-network recovery on routed
 # ring platforms: exact-DP re-solves vs the diffusion fallback under a

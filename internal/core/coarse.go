@@ -1,12 +1,14 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // This file implements the coarsen-then-refine solver for the cold
-// path. The exact Algorithm 2 prices a fresh 817k-item solve at tens
-// of seconds; solving the same recurrence on a grid of granularity g
-// shrinks the row work by ~g² and a banded second pass refines the
-// boundaries with the exact kernel. The result is not guaranteed
+// path. Solving the Algorithm 2 recurrence on a grid of granularity g
+// shrinks the row work by ~g², and a banded second pass refines the
+// boundaries with the exact recurrence. The result is not guaranteed
 // optimal, but it carries a machine-checked optimality band in the
 // style of the Eq. (4) rounding guarantee: a companion optimistic
 // dynamic program on the same grid lower-bounds the exact optimum, so
@@ -60,19 +62,21 @@ type CoarseOptions struct {
 // SolveCoarse computes a near-optimal distribution of n items at
 // granularity g: it solves the Algorithm 2 recurrence restricted to
 // grid-aligned cuts (K = ceil(n/g) cells per row instead of n), then
-// refines a ±g window around each coarse cut with the exact kernel.
-// It requires increasing cost functions, like Algorithm2. Instances
-// with n <= 4g fall back to the exact DP.
+// refines a ±g window around each coarse cut with the exact
+// recurrence. It requires increasing cost functions, like Algorithm2.
+// Instances with n <= 4g fall back to the exact DP.
 func SolveCoarse(procs []Processor, n, g int) (CoarseResult, error) {
-	return solveCoarse(nil, procs, n, g, CoarseOptions{})
+	return SolveCoarseOpt(procs, n, g, CoarseOptions{})
 }
 
 // SolveCoarseOpt is SolveCoarse with explicit refinement options.
+//
+// Neither pass reads a processor's costs outside about K+1 shares per
+// grid family and a refinement window about 4w+1 wide, so it
+// evaluates exactly those shares instead of tabulating [0, n]. The
+// values are the ones fillCosts would store: its Linear and Affine
+// loops are the same expressions as their Eval methods.
 func SolveCoarseOpt(procs []Processor, n, g int, opts CoarseOptions) (CoarseResult, error) {
-	return solveCoarse(nil, procs, n, g, opts)
-}
-
-func solveCoarse(tc *tabCache, procs []Processor, n, g int, opts CoarseOptions) (CoarseResult, error) {
 	if g < 1 {
 		return CoarseResult{}, fmt.Errorf("core: granularity %d < 1", g)
 	}
@@ -89,7 +93,6 @@ func solveCoarse(tc *tabCache, procs []Processor, n, g int, opts CoarseOptions) 
 		return CoarseResult{Result: res, LowerBound: res.Makespan, Granularity: 1, Exact: true}, nil
 	}
 	p := len(procs)
-	fps := fingerprints(procs)
 
 	K := (n + g - 1) / g
 	r := n - (K-1)*g // size of the first (partial) grid segment, in (0, g]
@@ -108,6 +111,15 @@ func solveCoarse(tc *tabCache, procs []Processor, n, g int, opts CoarseOptions) 
 		}
 		return sv(k-1) + 1
 	}
+	// eLo is the smallest share that can realize an interior transition
+	// consuming j grid segments in the lower-bound DP.
+	eLo := func(j int) int {
+		if j == 0 {
+			return 0
+		}
+		return (j-1)*g + 1
+	}
+	grid := func(j int) int { return j * g }
 
 	// Two dynamic programs over the grid, filled in one pass per row:
 	//
@@ -122,50 +134,59 @@ func solveCoarse(tc *tabCache, procs []Processor, n, g int, opts CoarseOptions) 
 	// s_{k-1}+1 when it empties the remainder — so by induction (costs
 	// increasing, float rounding monotone) lb[K] at row 0 is a true
 	// lower bound on the exact optimum for d = n.
+	//
+	// Transitions that leave items (j < k) take j·g items in the upper
+	// DP and eLo(j) in the lower one; the transition that empties the
+	// remainder (j = k) takes s_k and dLo(k). Each family is evaluated
+	// once per processor into its own table, indexed by j or k.
 	up := make([]float64, K+1)
 	upNext := make([]float64, K+1)
 	lb := make([]float64, K+1)
 	lbNext := make([]float64, K+1)
+	upPre, upSuf := make([]float64, K+1), make([]float64, K+1)
+	lbPre, lbSuf := make([]float64, K+1), make([]float64, K+1)
+	var upIn, upTop, lbIn, lbTop shareCosts
 	choice := make([][]int32, p) // choice[i][k]: grid segments Pi takes
 	for i := range choice {
 		choice[i] = make([]int32, K+1)
 	}
 
-	comm, comp, done := tc.tables(procs[p-1], fps[p-1], n)
+	upTop.eval(procs[p-1], K+1, sv)
+	lbTop.eval(procs[p-1], K+1, dLo)
 	for k := 0; k <= K; k++ {
-		d := sv(k)
-		upNext[k] = comm[d] + comp[d]
+		upNext[k] = upTop.comm[k] + upTop.comp[k]
 		choice[p-1][k] = int32(k)
-		d = dLo(k)
-		lbNext[k] = comm[d] + comp[d]
+		lbNext[k] = lbTop.comm[k] + lbTop.comp[k]
 	}
-	done()
 
 	for i := p - 2; i >= 0; i-- {
-		comm, comp, done := tc.tables(procs[i], fps[i], n)
+		pr := procs[i]
+		upIn.eval(pr, K, grid)
+		upTop.eval(pr, K+1, sv)
+		lbIn.eval(pr, K, eLo)
+		lbTop.eval(pr, K+1, dLo)
+		prefixSuffixMin(upNext, upPre, upSuf)
+		prefixSuffixMin(lbNext, lbPre, lbSuf)
+		bj, lj := 0, 0 // the previous cell's minimizers seed each scan
 		for k := 0; k <= K; k++ {
-			base := sv(k)
-			bj := 0
-			bm := comm[0] + maxf(comp[0], upNext[k])
-			lm := comm[0] + maxf(comp[0], lbNext[k])
-			for j := 1; j <= k; j++ {
-				e := base - sv(k-j)
-				if m := comm[e] + maxf(comp[e], upNext[k-j]); m < bm {
-					bj, bm = j, m
-				}
-				elo := (j-1)*g + 1
-				if j == k {
-					elo = dLo(k)
-				}
-				if m := comm[elo] + maxf(comp[elo], lbNext[k-j]); m < lm {
-					lm = m
-				}
+			// The transition emptying the remainder (j = k) is evaluated
+			// last: its share does not follow the interior spacing, and
+			// it is the largest j, so a tie never selects it.
+			var bm float64
+			bj, bm = argminTwoSided(upIn.comm, upIn.comp, upNext, upPre, upSuf, k, k-1, bj)
+			if m := upTop.comm[k] + maxf(upTop.comp[k], upNext[0]); m < bm {
+				bj, bm = k, m
 			}
 			up[k] = bm
 			choice[i][k] = int32(bj)
+
+			var lm float64
+			lj, lm = argminTwoSided(lbIn.comm, lbIn.comp, lbNext, lbPre, lbSuf, k, k-1, lj)
+			if m := lbTop.comm[k] + maxf(lbTop.comp[k], lbNext[0]); m < lm {
+				lm = m
+			}
 			lb[k] = lm
 		}
-		done()
 		up, upNext = upNext, up
 		lb, lbNext = lbNext, lb
 	}
@@ -225,16 +246,26 @@ func solveCoarse(tc *tabCache, procs []Processor, n, g int, opts CoarseOptions) 
 		choiceW[i] = make([]int32, hi[i]-lo[i]+1)
 	}
 
-	comm, comp, done = tc.tables(procs[p-1], fps[p-1], n)
-	for d := lo[p-1]; d <= hi[p-1]; d++ {
-		costW[p-1][d-lo[p-1]] = comm[d] + comp[d]
-		choiceW[p-1][d-lo[p-1]] = int32(d)
+	var win shareCosts
+	base := lo[p-1]
+	win.eval(procs[p-1], hi[p-1]-base+1, func(x int) int { return base + x })
+	for x := range costW[p-1] {
+		costW[p-1][x] = win.comm[x] + win.comp[x]
+		choiceW[p-1][x] = int32(base + x)
 	}
-	done()
+	var pre, suf []float64
 	for i := p - 2; i >= 0; i-- {
-		comm, comp, done := tc.tables(procs[i], fps[i], n)
-		refineRow(comm, comp, costW[i+1], lo[i+1], costW[i], choiceW[i], lo[i], hi[i])
-		done()
+		// Row i reads shares d - d' for d in [lo[i], hi[i]] and d' in
+		// row i+1's window.
+		eMin := lo[i] - hi[i+1]
+		if eMin < 0 {
+			eMin = 0
+		}
+		win.eval(procs[i], hi[i]-lo[i+1]-eMin+1, func(x int) int { return eMin + x })
+		next := costW[i+1]
+		pre, suf = grow(pre, len(next)), grow(suf, len(next))
+		prefixSuffixMin(next, pre, suf)
+		refineRow(win.comm, win.comp, eMin, next, pre, suf, lo[i+1], costW[i], choiceW[i], lo[i], hi[i])
 	}
 
 	refined := make(Distribution, p)
@@ -256,29 +287,122 @@ func solveCoarse(tc *tabCache, procs []Processor, n, g int, opts CoarseOptions) 
 	return CoarseResult{Result: res, LowerBound: lower, Band: band, Granularity: g, Refined: true}, nil
 }
 
+// shareCosts holds one processor's costs at a family of shares:
+// comm[x] = Tcomm(share(x)) and comp[x] = Tcomp(share(x)).
+type shareCosts struct {
+	comm, comp []float64
+}
+
+// eval fills the first m entries for pr, reusing the buffers.
+func (sc *shareCosts) eval(pr Processor, m int, share func(int) int) {
+	sc.comm, sc.comp = grow(sc.comm, m), grow(sc.comp, m)
+	for x := 0; x < m; x++ {
+		e := share(x)
+		sc.comm[x] = pr.Comm.Eval(e)
+		sc.comp[x] = pr.Comp.Eval(e)
+	}
+}
+
+// grow returns s resliced to length m, reallocated when too short.
+func grow(s []float64, m int) []float64 {
+	if cap(s) < m {
+		return make([]float64, m)
+	}
+	return s[:m]
+}
+
+// prefixSuffixMin sets pre[x] = min(v[:x+1]) and suf[x] = min(v[x:]).
+// They bound v from below over every index at or below x (pre) and at
+// or above x (suf) without assuming v is monotone.
+func prefixSuffixMin(v, pre, suf []float64) {
+	m := v[0]
+	for x, y := range v {
+		if y < m {
+			m = y
+		}
+		pre[x] = m
+	}
+	m = v[len(v)-1]
+	for x := len(v) - 1; x >= 0; x-- {
+		if v[x] < m {
+			m = v[x]
+		}
+		suf[x] = m
+	}
+}
+
+// argminTwoSided minimizes f(j) = comm[j] + max(comp[j], next[k-j])
+// over j in [0, top] (top <= k), returning the smallest minimizer and
+// the minimum (0 and +Inf when top < 0). comm and comp are
+// non-decreasing in j; next need not be monotone: pre and suf are its
+// prefix and suffix minima. The scan starts at the hint (clipped) and
+// moves both ways. Upward, every j' >= j costs at least comm[j] +
+// max(comp[j], pre[k-j]), so the scan stops once that bound reaches
+// the minimum. Downward, every j' in a block [a, j] costs at least
+// comm[a] + suf[k-j]; blocks gallop as in rowRange, and since ties go
+// to the smaller j only a bound strictly above the minimum prunes.
+func argminTwoSided(comm, comp, next, pre, suf []float64, k, top, hint int) (int, float64) {
+	if top < 0 {
+		return 0, math.Inf(1)
+	}
+	s := hint
+	if s < 0 {
+		s = 0
+	} else if s > top {
+		s = top
+	}
+	sol, min := s, comm[s]+maxf(comp[s], next[k-s])
+	for j := s + 1; j <= top; j++ {
+		if comm[j]+maxf(comp[j], pre[k-j]) >= min {
+			break
+		}
+		if m := comm[j] + maxf(comp[j], next[k-j]); m < min {
+			sol, min = j, m
+		}
+	}
+	for j, step := s-1, 1; j >= 0; {
+		a := j - step + 1
+		if a < 0 {
+			a = 0
+		}
+		if comm[a]+suf[k-j] > min {
+			j, step = a-1, step*2
+			continue
+		}
+		if step > 1 {
+			step /= 2
+			continue
+		}
+		if m := comm[j] + maxf(comp[j], next[k-j]); m <= min {
+			sol, min = j, m
+		}
+		j--
+	}
+	return sol, min
+}
+
 // refineRow fills one banded DP row: cost[d-lo] and choice[d-lo] for d
 // in [lo, hi], where the next row is only known on [loNext, loNext +
-// len(next) - 1]. The share range for each d is clipped so d-e stays
-// inside the next row's window; windows produced by solveCoarse are
-// monotone, which keeps that range non-empty. Unlike rowRange there is
-// no early break: a banded next row is not monotone at its window
-// edges, so the full clipped range is scanned (it is at most 2w+1
-// wide). Ties keep the smallest share, like Algorithm 1.
-func refineRow(comm, comp, next []float64, loNext int, cost []float64, choice []int32, lo, hi int) {
+// len(next) - 1] (pre and suf are its prefix and suffix minima) and
+// the share costs from eOff on (comm[e-eOff]). The share range for
+// each d is clipped so d-e stays inside the next row's window; windows
+// produced by SolveCoarseOpt are monotone, which keeps that range
+// non-empty. A banded next row is not monotone at its window edges,
+// so rowRange's early break does not apply; argminTwoSided prunes
+// through the minima instead, starting from the previous cell's share.
+// Ties keep the smallest share, like Algorithm 1.
+func refineRow(comm, comp []float64, eOff int, next, pre, suf []float64, loNext int, cost []float64, choice []int32, lo, hi int) {
 	hiNext := loNext + len(next) - 1
+	sol := 0
 	for d := lo; d <= hi; d++ {
 		eMin := d - hiNext
 		if eMin < 0 {
 			eMin = 0
 		}
-		eMax := d - loNext
-		sol := eMin
-		min := comm[eMin] + maxf(comp[eMin], next[d-eMin-loNext])
-		for e := eMin + 1; e <= eMax; e++ {
-			if m := comm[e] + maxf(comp[e], next[d-e-loNext]); m < min {
-				sol, min = e, m
-			}
-		}
+		// Share e = eMin + j leaves d - e = loNext + (k - j) items.
+		k := d - eMin - loNext
+		j, min := argminTwoSided(comm[eMin-eOff:], comp[eMin-eOff:], next, pre, suf, k, k, sol-eMin)
+		sol = eMin + j
 		cost[d-lo] = min
 		choice[d-lo] = int32(sol)
 	}

@@ -413,7 +413,7 @@ func (e *Engine) solveCoarseDetailed(procs []Processor, n int, sig string) (Resu
 	e.flights[key] = f
 	e.mu.Unlock()
 
-	cr, err := solveCoarse(e.tabs, procs, n, e.gran, CoarseOptions{SkipRefine: e.policy == PolicyCoarseOnly})
+	cr, err := SolveCoarseOpt(procs, n, e.gran, CoarseOptions{SkipRefine: e.policy == PolicyCoarseOnly})
 
 	e.mu.Lock()
 	var info SolveInfo

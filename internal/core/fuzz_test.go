@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -73,7 +74,8 @@ func FuzzAlgorithm2Agreement(f *testing.F) {
 // Algorithm 2 on dyadic affine platforms, where every cost sum is
 // exact in float64: the coarse makespan must never beat the optimum,
 // the optimistic DP must really lower-bound it, and the realized gap
-// must stay inside the machine-checked band.
+// must stay inside the machine-checked band. Off the exact fallback,
+// both policies must also match the unpruned solver bit for bit.
 func FuzzCoarsen(f *testing.F) {
 	f.Add(uint8(3), uint8(200), uint8(7), uint8(1), uint8(2), uint8(3), uint8(1))
 	f.Add(uint8(1), uint8(255), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
@@ -126,6 +128,10 @@ func FuzzCoarsen(f *testing.F) {
 					t.Fatalf("p=%d n=%d g=%d: exact fallback %v != Algorithm2 %v",
 						p, n, g, cr.Distribution, exact.Distribution)
 				}
+			}
+		} else {
+			for _, opts := range []CoarseOptions{{}, {SkipRefine: true}} {
+				checkCoarseMatchesUnpruned(t, procs, n, g, opts, fmt.Sprintf("p=%d n=%d g=%d %+v", p, n, g, opts))
 			}
 		}
 		gridOnly, err := SolveCoarseOpt(procs, n, g, CoarseOptions{SkipRefine: true})

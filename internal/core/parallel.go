@@ -86,11 +86,12 @@ func (rp *rowPool) row(comm, comp, costNext, costCur []float64, choice []int32, 
 func (rp *rowPool) close() { close(rp.work) }
 
 // rowRange fills cost[d] and choice[d] for d in [lo, hi] using the
-// Algorithm 2 recurrence (binary-searched crossover + early break).
-// It only reads comm, comp and costNext, so disjoint ranges may run
-// concurrently. This is the single row kernel behind fillRows, and so
-// behind Algorithm2, Algorithm2Parallel and the incremental Plan
-// solver, which is what keeps their results bit-identical.
+// Algorithm 2 recurrence (binary-searched crossover + early break,
+// generalized to a galloping block lower bound). It only reads comm,
+// comp and costNext, so disjoint ranges may run concurrently. This is
+// the single row kernel behind fillRows, and so behind Algorithm2,
+// Algorithm2Parallel and the incremental Plan solver, which is what
+// keeps their results bit-identical.
 //
 // The crossover emax(d) — the smallest e with comp[e] >= costNext[d-e]
 // (or d when no such e exists) — is monotone in d, and moreover
@@ -102,6 +103,18 @@ func (rp *rowPool) close() { close(rp.work) }
 // value is the same lower bound the binary search would return, so the
 // kernel stays bit-identical to a per-cell search (the reference in
 // rowrange_test.go).
+//
+// Below emax the scan descends, and the paper's early break stops it
+// once costNext[d-e] alone reaches the best value. The block bound
+// generalizes that break: every share e' in a block [a, e] costs at
+// least comm[a] + costNext[d-e], because comm and costNext are
+// non-decreasing (Algorithm 2's precondition) and rounded + and max
+// are monotone. A block whose bound reaches min holds no strictly
+// better share, so it is skipped whole and the next block is twice as
+// long; a block that cannot be skipped is halved until it is one
+// share, which is evaluated exactly as before. The scan keeps its
+// strict update, so every stored value and choice — the largest
+// minimizing e <= emax — is the one the plain scan finds.
 func rowRange(comm, comp, costNext, costCur []float64, choiceRow []int32, lo, hi int) {
 	if lo > hi {
 		return
@@ -136,16 +149,29 @@ func rowRange(comm, comp, costNext, costCur []float64, choiceRow []int32, lo, hi
 		min := comm[sol] + maxf(comp[sol], costNext[d-sol])
 		// Descending scan over e < sol, where the max is realized by
 		// costNext[d-e].
-		for e := sol - 1; e >= 0; e-- {
+		for e, step := sol-1, 1; e >= 0; {
 			rest := costNext[d-e]
-			m := comm[e] + maxf(comp[e], rest)
-			if m < min {
-				sol, min = e, m
-			} else if rest >= min {
+			if rest >= min {
 				// costNext[d-e] only grows as e decreases and Tcomm is
 				// non-negative, so no smaller e can win.
 				break
 			}
+			a := e - step + 1
+			if a < 0 {
+				a = 0
+			}
+			if comm[a]+rest >= min {
+				e, step = a-1, step*2
+				continue
+			}
+			if step > 1 {
+				step /= 2
+				continue
+			}
+			if m := comm[e] + maxf(comp[e], rest); m < min {
+				sol, min = e, m
+			}
+			e--
 		}
 		choiceRow[d] = int32(sol)
 		costCur[d] = min

@@ -211,6 +211,45 @@ func TestRowRangeChunkSplitIdentity(t *testing.T) {
 	}
 }
 
+// TestRowRangeTable1LargeN checks the kernel where its skipped blocks
+// grow long: on the Table 1 grid at n = 60,000 the scan below emax
+// spans hundreds of shares per cell, far more than the small dyadic
+// rows above. Every row is computed by rowRange from the
+// previous DP row, as Algorithm2 does; the last cell and sampled ones
+// are checked against every variant of the reference.
+func TestRowRangeTable1LargeN(t *testing.T) {
+	const n = 60000
+	procs := table1Procs()
+	p := len(procs)
+	comm, comp := make([]float64, n+1), make([]float64, n+1)
+	next, cur := make([]float64, n+1), make([]float64, n+1)
+	choice := make([]int32, n+1)
+	tabulate(procs[p-1], n, comm, comp)
+	for d := range next {
+		next[d] = comm[d] + comp[d]
+	}
+	rng := rand.New(rand.NewSource(10))
+	for i := p - 2; i >= 0; i-- {
+		tabulate(procs[i], n, comm, comp)
+		rowRange(comm, comp, next, cur, choice, 1, n)
+		for s := 0; s < 24; s++ {
+			d := n
+			if s > 0 {
+				d = 1 + rng.Intn(n)
+			}
+			for _, v := range ablations {
+				wantSol, wantMin := referenceCell(comm, comp, next, d, v.ab)
+				if choice[d] != wantSol || cur[d] != wantMin {
+					t.Fatalf("row %d d=%d: kernel (e=%d, %g) != reference %s (e=%d, %g)",
+						i, d, choice[d], cur[d], v.name, wantSol, wantMin)
+				}
+			}
+		}
+		cur[0] = comm[0] + maxf(comp[0], next[0])
+		next, cur = cur, next
+	}
+}
+
 // TestRowRangeEmptyRange: an inverted range must not touch the output.
 func TestRowRangeEmptyRange(t *testing.T) {
 	comm := []float64{0, 1}
