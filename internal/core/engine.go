@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/cost"
@@ -166,13 +165,23 @@ func PlatformSignature(procs []Processor) (string, bool) {
 	if PlatformClass(procs) == cost.General {
 		return "", false
 	}
-	fps := fingerprints(procs)
-	for _, fp := range fps {
-		if fp == "" {
+	return signature(procs)
+}
+
+// signature is PlatformSignature without the class check, appended
+// into one buffer so that the only string it allocates is the result.
+func signature(procs []Processor) (string, bool) {
+	b := make([]byte, 0, 64*len(procs))
+	for i, pr := range procs {
+		if i > 0 {
+			b = append(b, ';')
+		}
+		var ok bool
+		if b, ok = appendFingerprint(b, pr); !ok {
 			return "", false
 		}
 	}
-	return strings.Join(fps, ";"), true
+	return string(b), true
 }
 
 // Engine is the incremental solver: it answers distribution requests
@@ -311,15 +320,12 @@ func (e *Engine) SolveDetailed(procs []Processor, n int) (Result, SolveInfo, err
 		res, err := Algorithm1(procs, n)
 		return res, SolveInfo{Source: SourceFallback}, err
 	}
-	fps := fingerprints(procs)
-	for _, fp := range fps {
-		if fp == "" {
-			e.count(func(s *EngineStats) { s.Fallbacks++ })
-			res, err := Algorithm2(procs, n)
-			return res, SolveInfo{Source: SourceFallback}, err
-		}
+	sig, ok := signature(procs)
+	if !ok {
+		e.count(func(s *EngineStats) { s.Fallbacks++ })
+		res, err := Algorithm2(procs, n)
+		return res, SolveInfo{Source: SourceFallback}, err
 	}
-	sig := strings.Join(fps, ";")
 	if e.policy != PolicyExact && n >= e.coarseMin {
 		return e.solveCoarseDetailed(procs, n, sig)
 	}
@@ -348,7 +354,7 @@ func (e *Engine) SolveDetailed(procs []Processor, n int) (Result, SolveInfo, err
 	// row buffers while the resolve reads them.
 	f := &flight{done: make(chan struct{})}
 	e.flights[key] = f
-	base := e.cache.bestSuffix(fps, n)
+	base := e.cache.bestSuffix(fingerprints(procs), n)
 	if base != nil {
 		base.refs++
 		base.pinRows()

@@ -228,14 +228,24 @@ func (pl *Plan) freeRows() {
 // "" when either function is opaque.
 func fingerprints(procs []Processor) []string {
 	fps := make([]string, len(procs))
+	var b []byte
 	for i, pr := range procs {
-		cm, ok1 := cost.Fingerprint(pr.Comm)
-		cp, ok2 := cost.Fingerprint(pr.Comp)
-		if ok1 && ok2 {
-			fps[i] = cm + "|" + cp
+		var ok bool
+		if b, ok = appendFingerprint(b[:0], pr); ok {
+			fps[i] = string(b)
 		}
 	}
 	return fps
+}
+
+// appendFingerprint appends pr's comm|comp fingerprint to b, reporting
+// whether both cost functions have one.
+func appendFingerprint(b []byte, pr Processor) ([]byte, bool) {
+	b, ok := cost.AppendFingerprint(b, pr.Comm)
+	if !ok {
+		return b, false
+	}
+	return cost.AppendFingerprint(append(b, '|'), pr.Comp)
 }
 
 // newPlanRow takes a row's buffers from the pools.

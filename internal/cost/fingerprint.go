@@ -4,7 +4,6 @@ import (
 	"hash/fnv"
 	"math"
 	"strconv"
-	"strings"
 )
 
 // Fingerprint returns a canonical string identifying the exact numeric
@@ -25,14 +24,27 @@ import (
 // IEEE-754 for the non-negative values the cost model allows, and both
 // types tabulate through the same closed form).
 func Fingerprint(f Function) (string, bool) {
+	b, ok := AppendFingerprint(nil, f)
+	if !ok {
+		return "", false
+	}
+	return string(b), true
+}
+
+// AppendFingerprint appends f's Fingerprint to b and reports whether f
+// has one; when it has none, b is returned unchanged. Callers that
+// join many fingerprints (core.PlatformSignature) build them in one
+// buffer this way instead of concatenating intermediate strings.
+func AppendFingerprint(b []byte, f Function) ([]byte, bool) {
 	switch cf := f.(type) {
 	case Linear:
-		return "lin(" + hexFloat(cf.PerItem) + ")", true
+		return appendHexFloat(append(b, "lin("...), cf.PerItem, ')'), true
 	case Affine:
 		if cf.Fixed == 0 {
-			return "lin(" + hexFloat(cf.PerItem) + ")", true
+			return appendHexFloat(append(b, "lin("...), cf.PerItem, ')'), true
 		}
-		return "aff(" + hexFloat(cf.Fixed) + "," + hexFloat(cf.PerItem) + ")", true
+		b = appendHexFloat(append(b, "aff("...), cf.Fixed, ',')
+		return appendHexFloat(b, cf.PerItem, ')'), true
 	case Table:
 		h := fnv.New64a()
 		var buf [8]byte
@@ -40,12 +52,13 @@ func Fingerprint(f Function) (string, bool) {
 			putUint64(buf[:], math.Float64bits(v))
 			h.Write(buf[:])
 		}
-		inc := "g"
+		inc := byte('g')
 		if cf.Increasing {
-			inc = "i"
+			inc = 'i'
 		}
-		return "tab(" + inc + "," + strconv.Itoa(len(cf.Values)) + "," +
-			strconv.FormatUint(h.Sum64(), 16) + ")", true
+		b = append(append(b, "tab("...), inc, ',')
+		b = append(strconv.AppendInt(b, int64(len(cf.Values)), 10), ',')
+		return append(strconv.AppendUint(b, h.Sum64(), 16), ')'), true
 	case PiecewiseLinear:
 		h := fnv.New64a()
 		var buf [8]byte
@@ -55,39 +68,42 @@ func Fingerprint(f Function) (string, bool) {
 			putUint64(buf[:], math.Float64bits(bp.Y))
 			h.Write(buf[:])
 		}
-		return "pwl(" + strconv.Itoa(len(cf.Points)) + "," +
-			strconv.FormatUint(h.Sum64(), 16) + ")", true
+		b = append(strconv.AppendInt(append(b, "pwl("...), int64(len(cf.Points)), 10), ',')
+		return append(strconv.AppendUint(b, h.Sum64(), 16), ')'), true
 	case Sum:
-		parts := make([]string, len(cf.Terms))
+		out := append(b, "sum("...)
 		for i, t := range cf.Terms {
-			fp, ok := Fingerprint(t)
-			if !ok {
-				return "", false
+			if i > 0 {
+				out = append(out, ',')
 			}
-			parts[i] = fp
+			var ok bool
+			if out, ok = AppendFingerprint(out, t); !ok {
+				return b, false
+			}
 		}
-		return "sum(" + strings.Join(parts, ",") + ")", true
+		return append(out, ')'), true
 	case Scaled:
-		fp, ok := Fingerprint(cf.F)
+		out, ok := AppendFingerprint(appendHexFloat(append(b, "scl("...), cf.Factor, ','), cf.F)
 		if !ok {
-			return "", false
+			return b, false
 		}
-		return "scl(" + hexFloat(cf.Factor) + "," + fp + ")", true
+		return append(out, ')'), true
 	case Classified:
-		fp, ok := Fingerprint(cf.F)
+		out := append(strconv.AppendInt(append(b, "cls("...), int64(cf.C), 10), ',')
+		out, ok := AppendFingerprint(out, cf.F)
 		if !ok {
-			return "", false
+			return b, false
 		}
-		return "cls(" + strconv.Itoa(int(cf.C)) + "," + fp + ")", true
+		return append(out, ')'), true
 	default:
-		return "", false
+		return b, false
 	}
 }
 
-// hexFloat renders v exactly (hexadecimal mantissa, no rounding), so
-// distinct float64 values never collide.
-func hexFloat(v float64) string {
-	return strconv.FormatFloat(v, 'x', -1, 64)
+// appendHexFloat appends v exactly (hexadecimal mantissa, no rounding),
+// so distinct float64 values never collide, followed by sep.
+func appendHexFloat(b []byte, v float64, sep byte) []byte {
+	return append(strconv.AppendFloat(b, v, 'x', -1, 64), sep)
 }
 
 // putUint64 writes v little-endian into b[:8]; a local helper so the

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 
@@ -106,6 +107,11 @@ func (s *Server) run(j *job) {
 	}
 
 	res, info, err := s.solve(j.procs, j.n)
+	if err == nil && (math.IsInf(res.Makespan, 0) || math.IsNaN(res.Makespan)) {
+		// Cost constants near the float64 limit overflow the makespan;
+		// JSON cannot carry it, and the store must not keep it.
+		err = fmt.Errorf("makespan %v is not finite", res.Makespan)
+	}
 	if err != nil {
 		s.count(func(st *Stats) { st.SolveErrors++ })
 		j.finish(http.StatusUnprocessableEntity, PlanResponse{}, fmt.Sprintf("solve failed: %v", err))

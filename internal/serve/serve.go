@@ -20,7 +20,9 @@
 //   - Durability: every fingerprintable solve is appended to the
 //     durable plan store (internal/store), and exact (signature,
 //     items) repeats — including after a restart — are answered from
-//     it in O(1) without touching the engine.
+//     it in O(1) without touching the engine. A byte-identical repeat
+//     of a store-answered body replays the encoded answer from a
+//     bounded memo (memo.go) without decoding the body.
 //   - Graceful drain: Drain stops admission, lets in-flight solves
 //     finish, rejects queued requests cleanly, and only then returns,
 //     so SIGTERM never tears a WAL append or strands a caller.
@@ -32,10 +34,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -187,6 +191,8 @@ type Server struct {
 	drained  chan struct{}
 	wg       sync.WaitGroup
 
+	memo *answerMemo
+
 	mu           sync.Mutex
 	drainStarted bool  //scatterlint:guardedby mu
 	stats        Stats //scatterlint:guardedby mu
@@ -195,6 +201,12 @@ type Server struct {
 // NewServer builds the service and starts its worker pool. Callers own
 // the store's lifecycle: Drain the server, then close the store.
 func NewServer(cfg Config) *Server {
+	return newServer(cfg, memoBudget)
+}
+
+// newServer is NewServer with the store-hit answer memo bounded by
+// memoBytes instead of memoBudget.
+func newServer(cfg Config, memoBytes int) *Server {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
@@ -224,6 +236,7 @@ func NewServer(cfg Config) *Server {
 		queue:    make(chan *job, cfg.QueueDepth),
 		draining: make(chan struct{}),
 		drained:  make(chan struct{}),
+		memo:     newAnswerMemo(memoBytes),
 	}
 	if s.engine == nil {
 		s.engine = core.NewEngine(0)
@@ -296,12 +309,21 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
 		return
 	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err == nil {
+		if answer, ok := s.memo.get(body); ok {
+			s.count(func(st *Stats) { st.Requests++; st.StoreHits++; st.Planned++ })
+			writeBody(w, http.StatusOK, answer)
+			return
+		}
+	}
 	s.count(func(st *Stats) { st.Requests++ })
-
-	var req PlanRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err != nil {
+		s.badRequest(w, fmt.Sprintf("bad request body: %v", err))
+		return
+	}
+	req, err := decodePlanRequest(body)
+	if err != nil {
 		s.badRequest(w, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
@@ -314,15 +336,22 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	sig, _ := core.PlatformSignature(procs)
 	if sig != "" && s.st != nil {
 		if e, ok := s.st.Get(sig, req.Items); ok {
-			s.count(func(st *Stats) { st.StoreHits++; st.Planned++ })
-			writeJSON(w, http.StatusOK, PlanResponse{
+			answer, err := encodeJSON(PlanResponse{
 				Distribution: e.Dist,
 				Makespan:     e.Makespan,
 				Processors:   procNames(procs),
 				Source:       "store",
 				Signature:    sig,
 			})
-			return
+			// An entry JSON cannot carry (a non-finite makespan: the
+			// solve path never persists one, but an older WAL may hold
+			// it) falls through to the solver.
+			if err == nil {
+				s.count(func(st *Stats) { st.StoreHits++; st.Planned++ })
+				s.memo.put(body, answer)
+				writeBody(w, http.StatusOK, answer)
+				return
+			}
 		}
 	}
 
@@ -365,6 +394,22 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// decodePlanRequest decodes body as exactly one PlanRequest object:
+// unknown fields and anything but whitespace after the object are
+// errors.
+func decodePlanRequest(body []byte) (PlanRequest, error) {
+	var req PlanRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, err
+	}
+	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) != 0 {
+		return req, errors.New("trailing data after the request object")
+	}
+	return req, nil
+}
+
 // admitRequest validates the request and expands the platform into
 // service-ordered processors, returning an error message for 400s.
 func (s *Server) admitRequest(req PlanRequest) ([]core.Processor, string) {
@@ -388,12 +433,18 @@ func (s *Server) admitRequest(req PlanRequest) ([]core.Processor, string) {
 	default:
 		return nil, fmt.Sprintf("unknown ordering %q", req.Ordering)
 	}
+	// Cap the CPU count before flattening, which allocates a processor
+	// per CPU: one machine claiming 10^9 CPUs must not exhaust the heap.
+	cpus := 0
+	for _, m := range req.Platform.Machines {
+		if m.CPUs > s.cfg.MaxProcessors-cpus {
+			return nil, fmt.Sprintf("platform exceeds the admission cap of %d processors", s.cfg.MaxProcessors)
+		}
+		cpus += max(m.CPUs, 0)
+	}
 	procs, err := req.Platform.ProcessorsOrdered(policy)
 	if err != nil {
 		return nil, err.Error()
-	}
-	if len(procs) > s.cfg.MaxProcessors {
-		return nil, fmt.Sprintf("%d processors exceed the admission cap %d", len(procs), s.cfg.MaxProcessors)
 	}
 	return procs, ""
 }
@@ -411,14 +462,27 @@ func procNames(procs []core.Processor) []string {
 	return names
 }
 
+// encodeJSON renders v the way every response body is written: one
+// json.Encoder value, trailing newline and HTML escaping included. On
+// error (a non-finite float) it renders no bytes.
+func encodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(v)
+	return buf.Bytes(), err
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, _ := encodeJSON(v)
+	writeBody(w, status, body)
+}
+
+// writeBody writes an already rendered JSON response.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(v); err != nil {
-		// The client is gone or stalled; nothing useful left to do.
-		_ = err
-	}
+	// A failed write means the client is gone or stalled; nothing
+	// useful is left to do.
+	_, _ = w.Write(body)
 }
 
 var errServerClosed = errors.New("serve: server draining")

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -37,6 +38,12 @@ func postPlan(t *testing.T, url string, req PlanRequest) (*http.Response, []byte
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postBody(t, url, body)
+}
+
+// postBody posts a raw POST /v1/plan body and reads the response.
+func postBody(t *testing.T, url string, body []byte) (*http.Response, []byte) {
+	t.Helper()
 	resp, err := http.Post(url+"/v1/plan", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /v1/plan: %v", err)
@@ -183,12 +190,13 @@ func TestServeHealthAndStats(t *testing.T) {
 }
 
 func TestServePlanValidation(t *testing.T) {
-	s := NewServer(Config{MaxItems: 1000})
+	s := NewServer(Config{MaxItems: 1000, MaxBodyBytes: 4096})
 	defer s.Drain()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
 	good := testPlatform(0)
+	valid := mustBody(t, PlanRequest{Platform: good, Items: 5})
 	cases := []struct {
 		name string
 		body string
@@ -202,6 +210,12 @@ func TestServePlanValidation(t *testing.T) {
 		{"unknown ordering", mustBody(t, PlanRequest{Platform: good, Items: 5, Ordering: "random"}), http.StatusBadRequest},
 		{"no machines", `{"platform": {"name": "x"}, "items": 5}`, http.StatusBadRequest},
 		{"rootless", `{"platform": {"machines": [{"name": "a", "cpus": 1, "beta": 0.01}]}, "items": 5}`, http.StatusBadRequest},
+		// The whole body counts against MaxBodyBytes, not just the part
+		// a streaming decoder reads before the object closes.
+		{"over body cap", valid + strings.Repeat("x", 8192), http.StatusBadRequest},
+		// A body is exactly one request object.
+		{"trailing garbage", valid + " garbage", http.StatusBadRequest},
+		{"two objects", valid + valid, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/plan", "application/json", bytes.NewReader([]byte(tc.body)))
@@ -225,6 +239,16 @@ func TestServePlanValidation(t *testing.T) {
 
 	if got := s.Stats().BadRequests; got != int64(len(cases)) {
 		t.Fatalf("BadRequests = %d, want %d", got, len(cases))
+	}
+
+	// Trailing JSON whitespace is still part of a valid body.
+	resp, err = http.Post(ts.URL+"/v1/plan", "application/json", strings.NewReader(valid+" \r\n\t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid body with trailing whitespace = %d, want 200", resp.StatusCode)
 	}
 }
 
@@ -495,5 +519,170 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached within 5s")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// size reports the memo's entries and accounted bytes.
+func (m *answerMemo) size() (entries, bytes int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.answers), m.bytes
+}
+
+// memoPost posts a raw body and returns the status, Content-Type and
+// response bytes.
+func memoPost(t *testing.T, url string, body []byte) (int, string, []byte) {
+	t.Helper()
+	resp, out := postBody(t, url, body)
+	return resp.StatusCode, resp.Header.Get("Content-Type"), out
+}
+
+// TestServeStoreHitMemo is the differential test of the store-hit
+// answer memo: for every key the first store hit (the slow path, which
+// memoizes) and the memo replay agree in status, Content-Type, bytes
+// and counter deltas; an engine answer is never replayed; and a flood
+// of distinct bodies, sequential and then concurrent, keeps the memo
+// within its byte budget while every answer stays a fresh Algorithm 2.
+func TestServeStoreHitMemo(t *testing.T) {
+	const budget = 4096
+	st, _, err := store.Open(filepath.Join(t.TempDir(), "plans.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	s := newServer(Config{Store: st}, budget)
+	defer s.Drain()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	type counters struct{ requests, storeHits, planned, bad int64 }
+	snap := func() counters {
+		x := s.Stats()
+		return counters{x.Requests, x.StoreHits, x.Planned, x.BadRequests}
+	}
+	oneHit := counters{requests: 1, storeHits: 1, planned: 1}
+	delta := func(a, b counters) counters {
+		return counters{b.requests - a.requests, b.storeHits - a.storeHits, b.planned - a.planned, b.bad - a.bad}
+	}
+
+	type key struct {
+		body  []byte
+		req   PlanRequest
+		store []byte // the slow path's store answer
+	}
+	var keys []key
+	for i := 0; i < 24; i++ {
+		req := PlanRequest{Platform: testPlatform(i % 8), Items: 300 + 150*(i/8)}
+		if i%3 == 1 {
+			req.Ordering = "as-listed"
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key{body: body, req: req})
+	}
+
+	for i := range keys {
+		k := &keys[i]
+		// The engine answers first; posting that body again is a store
+		// hit, never a replay of the engine's answer.
+		code, _, first := memoPost(t, ts.URL, k.body)
+		if code != http.StatusOK {
+			t.Fatalf("key %d: engine answer %d %s", i, code, first)
+		}
+		if src := decodePlan(t, first).Source; src == "store" {
+			t.Fatalf("key %d: first answer came from the store", i)
+		}
+		before := snap()
+		code, ctype, slow := memoPost(t, ts.URL, k.body)
+		if d := delta(before, snap()); code != http.StatusOK || d != oneHit {
+			t.Fatalf("key %d: slow store hit %d, counter delta %+v, want 200 and %+v", i, code, d, oneHit)
+		}
+		if src := decodePlan(t, slow).Source; src != "store" {
+			t.Fatalf("key %d: repeat source %q, want store", i, src)
+		}
+		if n, _ := s.memo.size(); n == 0 {
+			t.Fatalf("key %d: the slow store hit memoized nothing", i)
+		}
+		before = snap()
+		mcode, mctype, memo := memoPost(t, ts.URL, k.body)
+		if d := delta(before, snap()); d != oneHit {
+			t.Fatalf("key %d: memo hit counter delta %+v, want %+v", i, d, oneHit)
+		}
+		if mcode != code || mctype != ctype || !bytes.Equal(memo, slow) {
+			t.Fatalf("key %d: memo hit %d %q %q, slow path %d %q %q", i, mcode, mctype, memo, code, ctype, slow)
+		}
+		if _, b := s.memo.size(); b > budget {
+			t.Fatalf("key %d: memo holds %d bytes, budget %d", i, b, budget)
+		}
+		k.store = slow
+	}
+	if n, _ := s.memo.size(); n >= len(keys) {
+		t.Fatalf("memo kept all %d keys within %d bytes: the flood never evicted", n, budget)
+	}
+
+	// Across evictions every key still answers its store bytes, and
+	// those are a fresh Algorithm 2.
+	for i, k := range keys {
+		code, _, got := memoPost(t, ts.URL, k.body)
+		if code != http.StatusOK || !bytes.Equal(got, k.store) {
+			t.Fatalf("key %d after evictions: %d %q, want %q", i, code, got, k.store)
+		}
+		policy := platform.OrderDescendingBandwidth
+		if k.req.Ordering == "as-listed" {
+			policy = platform.OrderAsListed
+		}
+		procs, err := k.req.Platform.ProcessorsOrdered(policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.Algorithm2(procs, k.req.Items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr := decodePlan(t, got)
+		if pr.Makespan != want.Makespan || fmt.Sprint(pr.Distribution) != fmt.Sprint(want.Distribution) {
+			t.Fatalf("key %d: served %v/%v, fresh Algorithm 2 %v/%v", i, pr.Distribution, pr.Makespan, want.Distribution, want.Makespan)
+		}
+	}
+	if _, b := s.memo.size(); b > budget {
+		t.Fatalf("memo holds %d bytes, budget %d", b, budget)
+	}
+
+	// Concurrent lookups, inserts and evictions still answer every key
+	// its store bytes.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 3*len(keys); r++ {
+				k := keys[(g*7+r*5)%len(keys)]
+				resp, err := http.Post(ts.URL+"/v1/plan", "application/json", bytes.NewReader(k.body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var got bytes.Buffer
+				_, err = got.ReadFrom(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(got.Bytes(), k.store) {
+					t.Errorf("concurrent post: %d %q (%v), want %q", resp.StatusCode, got.Bytes(), err, k.store)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if _, b := s.memo.size(); b > budget {
+		t.Fatalf("memo holds %d bytes after concurrent traffic, budget %d", b, budget)
+	}
+
+	// A body that differs only in whitespace is a different memo key
+	// but the same store answer.
+	code, _, spaced := memoPost(t, ts.URL, append([]byte(" "), keys[0].body...))
+	if code != http.StatusOK || !bytes.Equal(spaced, keys[0].store) {
+		t.Fatalf("whitespace variant: %d %q, want %q", code, spaced, keys[0].store)
 	}
 }
